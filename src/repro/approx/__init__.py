@@ -26,8 +26,7 @@ scale layer:
 * :mod:`repro.approx.bench` — the scale bench (``make bench-approx`` →
   ``BENCH_approx.json``): sweeps catalog sizes and records
   quality-vs-time frontier points (data-wait ratio vs best-known, plan
-  wall time), gated by :mod:`repro.obs.regress` against the committed
-  ``benchmarks/history/approx-baseline.jsonl``.
+  wall time), with built-in differential checks on the ptas bound.
 
 Importing this package registers ``"ptas"`` and ``"meta"`` in the
 :mod:`repro.planners` registry; :mod:`repro.planners` itself imports it,

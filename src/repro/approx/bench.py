@@ -2,8 +2,8 @@
 
 ``make bench-approx`` runs :func:`run_frontier_bench` over a sweep of
 catalog sizes (smoke scale 10³–10⁴ in CI, 10⁵–10⁶ by hand) and writes
-``BENCH_approx.json`` (suite ``"approx-frontier"``) in the shared bench
-envelope. Per size, each planner contributes one **frontier point**:
+``BENCH_approx.json`` (suite ``"approx-frontier"``). Per size, each
+planner contributes one **frontier point**:
 
 * ``data_wait`` — the measured formula-(1) cost of its schedule;
 * ``ratio_to_lower`` — data wait over the information-theoretic lower
@@ -15,13 +15,11 @@ envelope. Per size, each planner contributes one **frontier point**:
   slack under it.
 
 The aggregate block flattens the smallest ("small") and largest
-("large") size's points into the fixed-name metrics
-:data:`repro.obs.regress.METRIC_SPECS` tracks, plus the differential
+("large") size's points into fixed-name metrics, plus the differential
 checks the CI gate enforces: ptas's measured data wait within its own
 claimed bound, and within that bound's ratio of the sorting heuristic
-(the ISSUE's 10⁴-catalog gate). Quality ratios are deterministic
-functions of the seed; plan times are machine clocks, tracked as
-``timing`` and gated only on request — the usual split.
+on the 10⁴-item catalog. Quality ratios are deterministic functions of
+the seed; plan times are machine clocks and are reported, not gated.
 """
 
 from __future__ import annotations
@@ -67,8 +65,8 @@ def run_frontier_bench(
 ) -> dict:
     """Sweep catalog sizes, plan each with ptas / sorting / meta.
 
-    Returns the unstamped suite record (``config`` + per-size ``result``
-    + regress-gated ``aggregate``); the CLI stamps and writes it.
+    Returns the suite record (``config`` + per-size ``result`` +
+    ``aggregate`` with its checks); the CLI writes it.
     """
     sizes = sorted(set(int(s) for s in sizes))
     if not sizes:
@@ -185,20 +183,11 @@ def run_frontier_bench(
     }
 
 
-def write_approx_bench_json(
-    path: str,
-    record: dict,
-    *,
-    rev: str | None = None,
-    timestamp: str | None = None,
-) -> dict:
-    """Stamp the suite record into the shared envelope and write it."""
+def write_approx_bench_json(path: str, record: dict) -> dict:
+    """Write ``record`` to ``path`` as JSON and return it."""
     import json
 
-    from ..bench_envelope import stamp_record
-
-    stamped = stamp_record(record, rev=rev, timestamp=timestamp)
     with open(path, "w") as handle:
-        json.dump(stamped, handle, indent=2)
+        json.dump(record, handle, indent=2)
         handle.write("\n")
-    return stamped
+    return record

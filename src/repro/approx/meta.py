@@ -33,7 +33,7 @@ Every dispatch is recorded three ways: perf counters
 (``planner.meta.choice.<method>``, ``planner.meta.fallbacks``), plan
 stats (``stats["meta"]`` carries the features, choice and reason), and a
 :class:`~repro.obs.events.PlannerDecision` trace event when a tracer is
-listening — the decision trail the ISSUE's bench suite regresses on.
+listening — the decision trail the frontier bench records per size.
 
 ``wire_safe=True`` constrains the table to planners whose trees the
 frame-level wire walk can route (ptas interleaves key ranges across

@@ -283,24 +283,9 @@ def format_bench(record: dict) -> str:
     return "\n".join(lines)
 
 
-def write_bench_json(
-    path: str,
-    repeats: int = 3,
-    *,
-    rev: str | None = None,
-    timestamp: str | None = None,
-) -> dict:
-    """Run the bench and write the record to ``path``; returns the record.
-
-    ``rev``/``timestamp`` stamp the shared :mod:`repro.bench_envelope`
-    fields — passed in by the caller (the Makefile's ``bench-all``)
-    rather than sampled here, so the bench itself stays deterministic.
-    """
-    from .bench_envelope import stamp_record
-
-    record = stamp_record(
-        run_bench(repeats=repeats), rev=rev, timestamp=timestamp
-    )
+def write_bench_json(path: str, repeats: int = 3) -> dict:
+    """Run the bench and write the record to ``path``; returns the record."""
+    record = run_bench(repeats=repeats)
     with open(path, "w") as handle:
         json.dump(record, handle, indent=2)
         handle.write("\n")

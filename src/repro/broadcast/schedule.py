@@ -49,6 +49,10 @@ class BroadcastSchedule:
         self._placement: dict[Node, tuple[int, int]] = dict(placement)
         used_channels = max((c for c, _ in self._placement.values()), default=1)
         self.channels = channels if channels is not None else used_channels
+        #: Number of slots in the broadcast cycle.
+        self.cycle_length = max(
+            (s for _, s in self._placement.values()), default=0
+        )
         if validate:
             self.validate()
 
@@ -98,11 +102,6 @@ class BroadcastSchedule:
 
     def nodes(self) -> Iterable[Node]:
         return self._placement.keys()
-
-    @property
-    def cycle_length(self) -> int:
-        """Number of slots in the broadcast cycle."""
-        return max((s for _, s in self._placement.values()), default=0)
 
     def node_at(self, channel: int, slot: int) -> Node | None:
         """The node broadcast at (channel, slot), or ``None`` if idle."""

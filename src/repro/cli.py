@@ -46,9 +46,7 @@ Subcommands regenerate each experiment on demand:
   simulator instead of sockets;
 * ``obs``      — trace tooling: ``obs timeline`` reconstructs the
   per-(channel, slot) view of one JSONL trace, ``obs diff`` compares
-  two traces and names the first divergent slot;
-* ``bench-merge`` — fold stamped ``BENCH_*.json`` records into one
-  ``BENCH_all.json`` (see :mod:`repro.bench_envelope`).
+  two traces and names the first divergent slot.
 
 Installed as the ``repro`` console script (``broadcast-alloc`` remains
 as the historical alias).
@@ -75,22 +73,6 @@ from .core.optimal import solve
 from .tree.builders import paper_example_tree
 
 __all__ = ["main", "build_parser"]
-
-
-def _add_envelope_options(sub: argparse.ArgumentParser) -> None:
-    """``--rev``/``--timestamp`` stamps for JSON-writing bench commands."""
-    sub.add_argument(
-        "--rev",
-        default=None,
-        help="git revision to stamp into the bench envelope "
-        "(the Makefile passes `git rev-parse --short HEAD`)",
-    )
-    sub.add_argument(
-        "--timestamp",
-        default=None,
-        help="ISO timestamp to stamp into the bench envelope "
-        "(the Makefile passes `date -u`)",
-    )
 
 
 def build_parser() -> argparse.ArgumentParser:
@@ -159,7 +141,6 @@ def build_parser() -> argparse.ArgumentParser:
         help="timing repeats per case; wall time is the best-of-N "
         "(default 3)",
     )
-    _add_envelope_options(bench)
 
     spaces = commands.add_parser(
         "spaces", help="render the reduced search trees (Figs. 9-12)"
@@ -226,24 +207,6 @@ def build_parser() -> argparse.ArgumentParser:
         default=None,
         metavar="PATH",
         help="also write the JSON perf record to PATH",
-    )
-    _add_envelope_options(bench_server)
-
-    bench_merge = commands.add_parser(
-        "bench-merge",
-        help="merge stamped BENCH_*.json records into BENCH_all.json",
-    )
-    bench_merge.add_argument(
-        "inputs",
-        nargs="+",
-        metavar="BENCH_JSON",
-        help="stamped bench records (BENCH_search/server/net.json)",
-    )
-    bench_merge.add_argument(
-        "--out",
-        required=True,
-        metavar="PATH",
-        help="path of the merged BENCH_all.json document",
     )
 
     def add_program_options(sub: argparse.ArgumentParser) -> None:
@@ -393,7 +356,6 @@ def build_parser() -> argparse.ArgumentParser:
         "--check-parity compares it walk-for-walk against the scalar "
         "protocol)",
     )
-    _add_envelope_options(loadtest)
 
     cluster = commands.add_parser(
         "cluster",
@@ -488,7 +450,6 @@ def build_parser() -> argparse.ArgumentParser:
         metavar="PATH",
         help="write the BENCH_cluster.json sweep record to PATH",
     )
-    _add_envelope_options(cluster_loadtest)
 
     approx = commands.add_parser(
         "approx",
@@ -551,7 +512,6 @@ def build_parser() -> argparse.ArgumentParser:
         metavar="PATH",
         help="write the BENCH_approx.json frontier record to PATH",
     )
-    _add_envelope_options(approx_frontier)
 
     approx_explain = approx_commands.add_parser(
         "explain",
@@ -664,7 +624,6 @@ def build_parser() -> argparse.ArgumentParser:
         metavar="PATH",
         help="write the BENCH_sched.json record to PATH",
     )
-    _add_envelope_options(sched_bench)
 
     sched_loadtest = sched_commands.add_parser(
         "loadtest",
@@ -700,7 +659,6 @@ def build_parser() -> argparse.ArgumentParser:
         help="attach an always-on flight recorder dumping postmortem "
         "bundles to DIR whenever an acceptance gate fails",
     )
-    _add_envelope_options(sched_loadtest)
 
     engine = commands.add_parser(
         "engine",
@@ -742,13 +700,11 @@ def build_parser() -> argparse.ArgumentParser:
         metavar="PATH",
         help="write the BENCH_engine.json record to PATH",
     )
-    _add_envelope_options(engine_bench)
 
     obs = commands.add_parser(
         "obs",
         help="trace tooling: timelines, diffs, latency attribution, "
-        "causal span trees, postmortem bundles, and the "
-        "bench-regression sentinel",
+        "causal span trees and postmortem bundles",
     )
     obs_commands = obs.add_subparsers(dest="obs_command", required=True)
     timeline = obs_commands.add_parser(
@@ -826,58 +782,6 @@ def build_parser() -> argparse.ArgumentParser:
         action="store_true",
         help="also print the bundle's full span trees",
     )
-    regress = obs_commands.add_parser(
-        "regress",
-        help="gate a BENCH_all.json candidate against a committed "
-        "baseline trajectory; exit 1 naming the first regressed metric",
-    )
-    regress.add_argument(
-        "--baseline",
-        required=True,
-        metavar="PATH",
-        help="JSONL history file whose last entry is the baseline",
-    )
-    regress.add_argument(
-        "--candidate",
-        default="BENCH_all.json",
-        metavar="PATH",
-        help="merged bench record to judge (default BENCH_all.json)",
-    )
-    regress.add_argument(
-        "--tolerance",
-        type=float,
-        default=0.1,
-        help="relative worse-ward tolerance on quality metrics "
-        "(default 0.1)",
-    )
-    regress.add_argument(
-        "--timing-tolerance",
-        type=float,
-        default=None,
-        help="also gate machine-dependent timing metrics at this "
-        "relative tolerance (default: tracked but ungated)",
-    )
-    regress.add_argument(
-        "--append",
-        dest="append_path",
-        default=None,
-        metavar="PATH",
-        help="also append the candidate's history entry to this "
-        "JSONL trajectory file",
-    )
-    regress.add_argument(
-        "--bootstrap",
-        action="store_true",
-        help="if the baseline file does not exist yet, seed it with "
-        "the candidate's entry and exit 0",
-    )
-    regress.add_argument(
-        "--allow-config-mismatch",
-        action="store_true",
-        help="compare runs even when their config fingerprints differ "
-        "(normally a hard error: different scales are incomparable)",
-    )
-
     sensitivity = commands.add_parser(
         "sensitivity", help="fanout and skew sensitivity sweeps"
     )
@@ -968,12 +872,7 @@ def main(argv: list[str] | None = None) -> int:
             print("error: --repeats must be >= 1", file=sys.stderr)
             return 2
         if args.json_path:
-            record = write_bench_json(
-                args.json_path,
-                repeats=args.repeats,
-                rev=args.rev,
-                timestamp=args.timestamp,
-            )
+            record = write_bench_json(args.json_path, repeats=args.repeats)
         else:
             record = run_bench(repeats=args.repeats)
         print(format_bench(record))
@@ -1071,9 +970,7 @@ def main(argv: list[str] | None = None) -> int:
         )
 
         if args.json_path:
-            record = write_server_bench_json(
-                args.json_path, rev=args.rev, timestamp=args.timestamp
-            )
+            record = write_server_bench_json(args.json_path)
         else:
             record = run_server_bench()
         print(format_server_bench(record))
@@ -1107,9 +1004,6 @@ def main(argv: list[str] | None = None) -> int:
 
     if args.command == "obs":
         return _cmd_obs(args)
-
-    if args.command == "bench-merge":
-        return _cmd_bench_merge(args)
 
     if args.command == "sensitivity":
         from .analysis.sensitivity import (
@@ -1411,12 +1305,7 @@ def _cmd_engine(args) -> int:
             repeats=args.repeats,
         )
         if args.json_path:
-            record = write_engine_bench_json(
-                args.json_path,
-                record,
-                rev=args.rev,
-                timestamp=args.timestamp,
-            )
+            record = write_engine_bench_json(args.json_path, record)
         print(format_engine_bench(record))
         if args.json_path:
             print(f"perf record written to {args.json_path}")
@@ -1445,7 +1334,6 @@ def _cmd_loadtest_batch(args) -> int:
     import json
     from time import perf_counter
 
-    from .bench_envelope import stamp_record
     from .client.protocol import object_walk, recovering_walk
     from .engine import compile_dense, run_batch
     from .net import build_demo_program, make_request_trace
@@ -1548,11 +1436,8 @@ def _cmd_loadtest_batch(args) -> int:
                 "checks": checks,
             },
         }
-        stamped = stamp_record(
-            record, rev=args.rev, timestamp=args.timestamp
-        )
         with open(args.json_path, "w") as handle:
-            json.dump(stamped, handle, indent=2)
+            json.dump(record, handle, indent=2)
             handle.write("\n")
         print(f"loadtest record written to {args.json_path}")
     if parity_exact is False:
@@ -1689,13 +1574,7 @@ def _cmd_loadtest(args) -> int:
             "check_parity": args.check_parity,
             "seed": args.seed,
         }
-        write_loadtest_json(
-            args.json_path,
-            report,
-            config,
-            rev=args.rev,
-            timestamp=args.timestamp,
-        )
+        write_loadtest_json(args.json_path, report, config)
         print(f"loadtest record written to {args.json_path}")
     ok = report.accounting_ok and report.parity_ok
     if not report.accounting_ok:
@@ -1921,13 +1800,7 @@ def _cmd_cluster_loadtest(args) -> int:
         "seed": args.seed,
     }
     if args.json_path:
-        record = write_cluster_bench_json(
-            args.json_path,
-            results,
-            config,
-            rev=args.rev,
-            timestamp=args.timestamp,
-        )
+        record = write_cluster_bench_json(args.json_path, results, config)
         print(f"cluster record written to {args.json_path}")
     else:
         record = write_cluster_bench_json(
@@ -2042,12 +1915,7 @@ def _cmd_approx_frontier(args) -> int:
         seed=args.seed,
     )
     if args.json_path:
-        write_approx_bench_json(
-            args.json_path,
-            record,
-            rev=args.rev,
-            timestamp=args.timestamp,
-        )
+        write_approx_bench_json(args.json_path, record)
     header = (
         f"{'size':>9} {'planner':>8} {'data_wait':>12} "
         f"{'vs lower':>8} {'vs best':>8} {'plan s':>8}"
@@ -2254,9 +2122,7 @@ def _cmd_sched_bench(args) -> int:
         f"({result['store_bytes_per_version']:.0f} bytes/version)"
     )
     if args.json_path:
-        write_sched_json(
-            args.json_path, record, rev=args.rev, timestamp=args.timestamp
-        )
+        write_sched_json(args.json_path, record)
         print(f"sched record written to {args.json_path}")
     return _sched_checks_verdict(record)
 
@@ -2316,9 +2182,7 @@ def _cmd_sched_loadtest(args) -> int:
         f"{result['store']['size_bytes']} bytes"
     )
     if args.json_path:
-        write_sched_json(
-            args.json_path, record, rev=args.rev, timestamp=args.timestamp
-        )
+        write_sched_json(args.json_path, record)
         print(f"sched record written to {args.json_path}")
     return _sched_checks_verdict(record)
 
@@ -2341,7 +2205,7 @@ def _cmd_obs(args) -> int:
     )
 
     # Exit codes are uniform across every obs subcommand: 0 clean,
-    # 1 divergence/regression/violation, 2 usage or I/O error.
+    # 1 divergence/violation, 2 usage or I/O error.
     if args.obs_command == "timeline":
         try:
             timeline = load_timeline(args.trace)
@@ -2377,11 +2241,8 @@ def _cmd_obs(args) -> int:
     if args.obs_command == "spans":
         return _cmd_obs_spans(args)
 
-    if args.obs_command == "postmortem":
-        return _cmd_obs_postmortem(args)
-
-    assert args.obs_command == "regress"
-    return _cmd_obs_regress(args)
+    assert args.obs_command == "postmortem"
+    return _cmd_obs_postmortem(args)
 
 
 def _cmd_obs_spans(args) -> int:
@@ -2497,93 +2358,6 @@ def _cmd_obs_attrib(args) -> int:
         )
         return 1
     return 0
-
-
-def _cmd_obs_regress(args) -> int:
-    import json as _json
-    import os
-
-    from .obs import (
-        RegressError,
-        append_history,
-        compare_runs,
-        extract_metrics,
-        format_report,
-        load_history,
-    )
-
-    try:
-        with open(args.candidate) as handle:
-            merged = _json.load(handle)
-        entry = extract_metrics(merged)
-    except OSError as error:
-        print(f"error: cannot read candidate: {error}", file=sys.stderr)
-        return 2
-    except (ValueError, RegressError) as error:
-        print(f"error: bad candidate record: {error}", file=sys.stderr)
-        return 2
-    if args.append_path:
-        append_history(args.append_path, entry)
-        print(f"candidate entry appended to {args.append_path}")
-    if not os.path.exists(args.baseline):
-        if args.bootstrap:
-            append_history(args.baseline, entry)
-            print(
-                f"baseline seeded at {args.baseline} from "
-                f"{args.candidate} (rev {entry.get('rev') or '?'})"
-            )
-            return 0
-        print(
-            f"error: baseline {args.baseline} does not exist "
-            "(seed it with --bootstrap)",
-            file=sys.stderr,
-        )
-        return 2
-    try:
-        history = load_history(args.baseline)
-        if not history:
-            print(
-                f"error: baseline {args.baseline} is empty",
-                file=sys.stderr,
-            )
-            return 2
-        report = compare_runs(
-            history[-1],
-            entry,
-            tolerance=args.tolerance,
-            timing_tolerance=args.timing_tolerance,
-            allow_config_mismatch=args.allow_config_mismatch,
-        )
-    except (OSError, ValueError) as error:
-        print(f"error: {error}", file=sys.stderr)
-        return 2
-    except RegressError as error:
-        print(f"error: {error}", file=sys.stderr)
-        return 2
-    print(
-        format_report(
-            report,
-            tolerance=args.tolerance,
-            timing_tolerance=args.timing_tolerance,
-        )
-    )
-    return 0 if report.ok else 1
-
-
-def _cmd_bench_merge(args) -> int:
-    from .bench_envelope import load_records, write_merged_json
-
-    try:
-        records = load_records(args.inputs)
-        merged = write_merged_json(args.out, records)
-    except (OSError, ValueError) as error:
-        print(f"error: {error}", file=sys.stderr)
-        return 2
-    checks = merged["aggregate"]["checks"]
-    for name in sorted(checks):
-        print(f"{'ok  ' if checks[name] else 'FAIL'} {name}")
-    print(f"merged record written to {args.out}")
-    return 0 if all(checks.values()) else 1
 
 
 if __name__ == "__main__":

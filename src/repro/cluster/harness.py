@@ -15,8 +15,7 @@ catalog, so its cycle is ~``1/N`` of the monolithic cycle, and a paced
 walk (``slot_duration > 0`` — real air time) finishes in ~``1/N`` of
 the wall-clock. ``run_cluster_sweep`` measures exactly that curve
 (aggregate walks/sec at 1, 2, 4 shards) and
-:func:`write_cluster_bench_json` lands it in the BENCH envelope for
-``obs regress`` to gate.
+:func:`write_cluster_bench_json` writes it as ``BENCH_cluster.json``.
 """
 
 from __future__ import annotations
@@ -384,19 +383,15 @@ def write_cluster_bench_json(
     path: str,
     results: dict[int, ClusterLoadReport],
     config: dict,
-    *,
-    rev: str | None = None,
-    timestamp: str | None = None,
 ) -> dict:
     """Persist one shard-count sweep as the ``BENCH_cluster.json`` record.
 
-    The aggregate block carries the regress-gated series: per-count
-    walks/sec and mean access time, plus ``speedup_2`` / ``speedup_4``
-    (aggregate throughput relative to the 1-shard run, when the sweep
-    includes it). ``checks.scaling_2shard`` asserts the ISSUE's ≥1.7×
-    bar whenever both the 1- and 2-shard points were measured.
+    The aggregate block carries the scaling series: per-count walks/sec
+    and mean access time, plus ``speedup_2`` / ``speedup_4`` (aggregate
+    throughput relative to the 1-shard run, when the sweep includes
+    it). ``checks.scaling_2shard`` asserts a ≥1.7× bar whenever both
+    the 1- and 2-shard points were measured.
     """
-    from ..bench_envelope import stamp_record
 
     walks_by_shards = {
         str(count): report.aggregate_walks_per_second
@@ -435,19 +430,15 @@ def write_cluster_bench_json(
         aggregate["speedup_2shards"] = speedups["2"]
     if "4" in speedups:
         aggregate["speedup_4shards"] = speedups["4"]
-    record = stamp_record(
-        {
-            "suite": "cluster-loadtest",
-            "config": config,
-            "result": {
-                str(count): report.to_dict()
-                for count, report in sorted(results.items())
-            },
-            "aggregate": aggregate,
+    record = {
+        "suite": "cluster-loadtest",
+        "config": config,
+        "result": {
+            str(count): report.to_dict()
+            for count, report in sorted(results.items())
         },
-        rev=rev,
-        timestamp=timestamp,
-    )
+        "aggregate": aggregate,
+    }
     with open(path, "w") as handle:
         json.dump(record, handle, indent=2)
         handle.write("\n")

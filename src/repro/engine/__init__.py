@@ -12,7 +12,6 @@ engine of the :func:`repro.client.request` facade.
 
 from .batch import run_batch
 from .bench import (
-    ENVELOPE_WALKS_PER_SECOND,
     format_engine_bench,
     run_engine_bench,
     write_engine_bench_json,
@@ -27,7 +26,6 @@ __all__ = [
     "run_batch",
     "BatchRecords",
     "materialise_outcomes",
-    "ENVELOPE_WALKS_PER_SECOND",
     "run_engine_bench",
     "format_engine_bench",
     "write_engine_bench_json",

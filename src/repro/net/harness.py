@@ -524,36 +524,19 @@ async def run_loadtest(
     return report
 
 
-def write_loadtest_json(
-    path: str,
-    report: LoadReport,
-    config: dict,
-    *,
-    rev: str | None = None,
-    timestamp: str | None = None,
-) -> dict:
-    """Persist one loadtest run as the ``BENCH_net.json`` record.
-
-    ``rev``/``timestamp`` fill the shared :mod:`repro.bench_envelope`
-    fields; the Makefile's ``bench-all`` passes them in.
-    """
-    from ..bench_envelope import stamp_record
-
-    record = stamp_record(
-        {
-            "suite": "net-loadtest",
-            "config": config,
-            "result": report.to_dict(),
-            "aggregate": {
-                "walks_per_second": report.walks_per_second,
-                "mean_access_time": report.mean_access_time,
-                "mean_tuning_time": report.mean_tuning_time,
-                "checks": report.to_dict()["checks"],
-            },
+def write_loadtest_json(path: str, report: LoadReport, config: dict) -> dict:
+    """Persist one loadtest run as the ``BENCH_net.json`` record."""
+    record = {
+        "suite": "net-loadtest",
+        "config": config,
+        "result": report.to_dict(),
+        "aggregate": {
+            "walks_per_second": report.walks_per_second,
+            "mean_access_time": report.mean_access_time,
+            "mean_tuning_time": report.mean_tuning_time,
+            "checks": report.to_dict()["checks"],
         },
-        rev=rev,
-        timestamp=timestamp,
-    )
+    }
     with open(path, "w") as handle:
         json.dump(record, handle, indent=2)
         handle.write("\n")

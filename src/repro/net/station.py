@@ -72,6 +72,12 @@ __all__ = ["BroadcastStation"]
 
 _QUEUE_SENTINEL = None
 
+#: Listen backlog for the TCP air. The asyncio default of 100 overflows
+#: under a burst of simultaneous tuners: the kernel drops the final ACK
+#: of the handshake, the tuner believes it is connected, and it waits
+#: for a WELCOME that never comes. The kernel clamps this to somaxconn.
+LISTEN_BACKLOG = 4096
+
 
 @dataclass(frozen=True)
 class _Segment:
@@ -218,7 +224,10 @@ class BroadcastStation:
         self._started = True
         if self.transport == "tcp":
             self._server = await asyncio.start_server(
-                self._handle_connection, self.host, self.port
+                self._handle_connection,
+                self.host,
+                self.port,
+                backlog=LISTEN_BACKLOG,
             )
             self.port = self._server.sockets[0].getsockname()[1]
             if self.clock.slot_duration > 0:

@@ -12,8 +12,8 @@ Two executable proofs back the subsystem's claims:
   abandoned, every delivered payload is intact, and the rolled-back
   version's document is byte-identical to the original's.
 * :func:`run_store_bench` — publish/load/rollback latency and on-disk
-  size against version count, the numbers ``make bench-sched`` tracks
-  through the regression sentinel.
+  size against version count, the numbers ``make bench-sched``
+  records in ``BENCH_sched.json``.
 
 Both are deterministic in their measured (non-timing) numbers: plans,
 activation slots and walks are pure functions of the seed, because
@@ -360,8 +360,8 @@ def run_store_bench(
     similar, which is the workload the delta encoding exists for), then
     times an integrity-checked load of every version through a *fresh*
     store handle (cold document cache) and one rollback to version 1.
-    Size metrics are deterministic; the ``*_ms`` timings are what the
-    regression sentinel watches.
+    Size metrics are deterministic; the ``*_ms`` timings are machine
+    clocks.
     """
     if versions < 2:
         raise ValueError("bench needs at least 2 versions")
@@ -451,18 +451,9 @@ def run_store_bench(
         }
 
 
-def write_sched_json(
-    path: str,
-    record: dict,
-    *,
-    rev: str | None = None,
-    timestamp: str | None = None,
-) -> dict:
-    """Persist one sched harness record with the shared bench envelope."""
-    from ..bench_envelope import stamp_record
-
-    stamped = stamp_record(dict(record), rev=rev, timestamp=timestamp)
+def write_sched_json(path: str, record: dict) -> dict:
+    """Write one sched harness record to ``path`` as JSON and return it."""
     with open(path, "w") as handle:
-        json.dump(stamped, handle, indent=2)
+        json.dump(record, handle, indent=2)
         handle.write("\n")
-    return stamped
+    return record

@@ -158,21 +158,9 @@ def format_server_bench(record: dict) -> str:
     return "\n".join(lines)
 
 
-def write_server_bench_json(
-    path: str,
-    *,
-    rev: str | None = None,
-    timestamp: str | None = None,
-) -> dict:
-    """Run the bench and write the stamped record to ``path``.
-
-    ``rev``/``timestamp`` fill the shared :mod:`repro.bench_envelope`
-    fields; they are supplied by the caller (``make bench-all``), never
-    sampled here.
-    """
-    from ..bench_envelope import stamp_record
-
-    record = stamp_record(run_server_bench(), rev=rev, timestamp=timestamp)
+def write_server_bench_json(path: str) -> dict:
+    """Run the bench and write the record to ``path``; returns the record."""
+    record = run_server_bench()
     with open(path, "w") as handle:
         json.dump(record, handle, indent=2)
         handle.write("\n")

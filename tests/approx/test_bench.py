@@ -7,7 +7,6 @@ import json
 import pytest
 
 from repro.approx import run_frontier_bench, write_approx_bench_json
-from repro.bench_envelope import SCHEMA_VERSION
 from repro.perf import PerfRecorder
 
 
@@ -84,13 +83,9 @@ class TestFrontierRecord:
 
 
 class TestWriteJson:
-    def test_stamps_and_writes_the_envelope(self, record, tmp_path):
+    def test_writes_the_record(self, record, tmp_path):
         path = tmp_path / "BENCH_approx.json"
-        stamped = write_approx_bench_json(
-            str(path), record, rev="abc1234", timestamp="2026-01-01T00:00:00Z"
-        )
+        written = write_approx_bench_json(str(path), record)
         on_disk = json.loads(path.read_text())
-        assert on_disk == stamped
-        assert on_disk["schema_version"] == SCHEMA_VERSION
-        assert on_disk["rev"] == "abc1234"
+        assert on_disk == written == record
         assert on_disk["suite"] == "approx-frontier"

@@ -30,18 +30,16 @@ class TestApproxPlan:
 
 
 class TestApproxFrontier:
-    def test_writes_the_stamped_record(self, capsys, tmp_path):
+    def test_writes_the_record(self, capsys, tmp_path):
         path = tmp_path / "BENCH_approx.json"
         assert main([
             "approx", "frontier", "--sizes", "60,150",
             "--json", str(path),
-            "--rev", "abc1234", "--timestamp", "2026-01-01T00:00:00Z",
         ]) == 0
         out = capsys.readouterr().out
         assert "ptas" in out and "sorting" in out and "meta" in out
         record = json.loads(path.read_text())
         assert record["suite"] == "approx-frontier"
-        assert record["rev"] == "abc1234"
         assert all(record["aggregate"]["checks"].values())
 
     def test_bad_sizes_fail_cleanly(self, capsys):

@@ -121,9 +121,7 @@ class TestSweepRecord:
             check_parity=True,
         )
         path = tmp_path / "BENCH_cluster.json"
-        record = write_cluster_bench_json(
-            str(path), results, {"tuners": 40}, rev="abc", timestamp="t"
-        )
+        record = write_cluster_bench_json(str(path), results, {"tuners": 40})
         aggregate = record["aggregate"]
         assert set(aggregate["walks_per_second_by_shards"]) == {"1", "2"}
         assert set(aggregate["mean_access_time_by_shards"]) == {"1", "2"}
@@ -142,17 +140,3 @@ class TestSweepRecord:
         )
         assert record["aggregate"]["speedups"] == {}
         assert "scaling_2shard" not in record["aggregate"]["checks"]
-
-    def test_regress_extracts_cluster_metrics(self, tmp_path):
-        from repro.obs.regress import extract_metrics
-
-        results = run_cluster_sweep(demo_catalog(), [1, 2], tuners=30)
-        record = write_cluster_bench_json(
-            str(tmp_path / "r.json"), results, {"tuners": 30}
-        )
-        entry = extract_metrics(record)
-        metrics = entry["metrics"]
-        assert "cluster-loadtest.mean_access_time_1shard" in metrics
-        assert "cluster-loadtest.mean_access_time_2shards" in metrics
-        assert "cluster-loadtest.speedup_2shards" in metrics
-        assert entry["fingerprint"]["cluster-loadtest"] == {"tuners": 30}

@@ -77,6 +77,31 @@ class TestParityGate:
         assert burst.mean_access_time == staggered.mean_access_time
         assert burst.mean_tuning_time == staggered.mean_tuning_time
 
+    def test_burst_above_the_default_listen_backlog_completes(self, program):
+        """300 tuners connecting at once all walk, with exact parity.
+
+        The burst overflows asyncio's default listen backlog of 100, at
+        which the fleet hangs; the deadline turns a hang into a failure.
+        """
+
+        async def burst():
+            return await asyncio.wait_for(
+                run_loadtest(
+                    program,
+                    tuners=300,
+                    rng=np.random.default_rng(11),
+                    arrival_rate=0.0,
+                    max_open=300,
+                    check_parity=True,
+                ),
+                timeout=30,
+            )
+
+        report = asyncio.run(burst())
+        assert report.completed == 300
+        assert report.parity_ok and report.accounting_ok
+        assert report.unaccounted_frames == 0
+
 
 class TestLossyFleet:
     def test_lossy_fleet_matches_in_process_recovery(self, program):

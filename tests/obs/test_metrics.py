@@ -179,9 +179,9 @@ class TestGoldenExposition:
     def test_walk_metrics_render_byte_exactly(self):
         """Golden 0.0.4 render: stable order, stable formatting.
 
-        This is the exposition the regression sentinel and scrape
-        parsers rely on — any drift in sorting, type lines, or value
-        formatting must be a conscious change to this test.
+        This is the exposition scrape parsers rely on — any drift in
+        sorting, type lines, or value formatting must be a conscious
+        change to this test.
         """
         registry = MetricsRegistry()
         summary = registry.summary(

@@ -202,7 +202,6 @@ class TestEngineCommands:
                 "--sample", "300",
                 "--repeats", "1",
                 "--json", str(path),
-                "--rev", "testrev",
             ]
         ) == 0
         out = capsys.readouterr().out
@@ -210,7 +209,6 @@ class TestEngineCommands:
         assert "differential_faulty_exact=True" in out
         record = json.loads(path.read_text())
         assert record["suite"] == "engine-batch"
-        assert record["rev"] == "testrev"
         assert record["aggregate"]["checks"]["differential_exact"] is True
 
     def test_engine_bench_rejects_bad_walks(self, capsys):
