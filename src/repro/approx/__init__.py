@@ -34,7 +34,7 @@ so both names resolve through ``plan()`` / ``plan_catalog()`` without
 any caller importing :mod:`repro.approx` explicitly.
 """
 
-from .bench import DEFAULT_SIZES, run_frontier_bench, write_approx_bench_json
+from .bench import DEFAULT_SIZES, run_frontier_bench
 from .meta import (
     DEFAULT_THRESHOLDS,
     CatalogFeatures,
@@ -64,5 +64,4 @@ __all__ = [
     "plan_meta",
     "DEFAULT_SIZES",
     "run_frontier_bench",
-    "write_approx_bench_json",
 ]

@@ -39,7 +39,6 @@ from .ptas import _data_wait_lower_bound, ptas_catalog_plan
 __all__ = [
     "DEFAULT_SIZES",
     "run_frontier_bench",
-    "write_approx_bench_json",
 ]
 
 DEFAULT_SIZES = (1_000, 10_000)
@@ -181,13 +180,3 @@ def run_frontier_bench(
         "aggregate": aggregate,
         "perf": perf.snapshot(),
     }
-
-
-def write_approx_bench_json(path: str, record: dict) -> dict:
-    """Write ``record`` to ``path`` as JSON and return it."""
-    import json
-
-    with open(path, "w") as handle:
-        json.dump(record, handle, indent=2)
-        handle.write("\n")
-    return record

@@ -33,7 +33,6 @@ way to strip scheduler noise from sub-millisecond measurements.
 
 from __future__ import annotations
 
-import json
 from time import perf_counter
 from typing import Callable
 
@@ -43,6 +42,7 @@ from .core.candidates import PruningConfig
 from .core.problem import AllocationProblem
 from .core.reference import seed_best_first_search
 from .core.search import SearchResult, best_first_search, dfs_branch_and_bound
+from .io.json_io import write_json_record
 from .tree.builders import balanced_tree, paper_example_tree, random_tree
 
 __all__ = ["build_suite", "run_bench", "format_bench", "write_bench_json"]
@@ -285,8 +285,4 @@ def format_bench(record: dict) -> str:
 
 def write_bench_json(path: str, repeats: int = 3) -> dict:
     """Run the bench and write the record to ``path``; returns the record."""
-    record = run_bench(repeats=repeats)
-    with open(path, "w") as handle:
-        json.dump(record, handle, indent=2)
-        handle.write("\n")
-    return record
+    return write_json_record(path, run_bench(repeats=repeats))

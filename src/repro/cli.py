@@ -917,8 +917,6 @@ def main(argv: list[str] | None = None) -> int:
         return 0
 
     if args.command == "faults":
-        import json
-
         from .analysis.faults_sweep import (
             format_fault_sweep,
             run_fault_sweep,
@@ -949,9 +947,9 @@ def main(argv: list[str] | None = None) -> int:
         )
         print(format_fault_sweep(report))
         if args.json_path:
-            with open(args.json_path, "w") as handle:
-                json.dump(report.to_dict(), handle, indent=2)
-                handle.write("\n")
+            from .io.json_io import write_json_record
+
+            write_json_record(args.json_path, report.to_dict())
             print(f"sweep record written to {args.json_path}")
         if not report.differential_ok:
             print(
@@ -1280,11 +1278,8 @@ def _cmd_tune(args) -> int:
 
 
 def _cmd_engine(args) -> int:
-    from .engine import (
-        format_engine_bench,
-        run_engine_bench,
-        write_engine_bench_json,
-    )
+    from .engine import format_engine_bench, run_engine_bench
+    from .io.json_io import write_json_record
 
     if args.engine_command == "bench":
         if args.repeats < 1 or args.walks < 1:
@@ -1305,7 +1300,7 @@ def _cmd_engine(args) -> int:
             repeats=args.repeats,
         )
         if args.json_path:
-            record = write_engine_bench_json(args.json_path, record)
+            write_json_record(args.json_path, record)
         print(format_engine_bench(record))
         if args.json_path:
             print(f"perf record written to {args.json_path}")
@@ -1331,11 +1326,11 @@ def _cmd_loadtest_batch(args) -> int:
     equality — unlike the fleet, parity here works under faults too,
     because both sides draw from the same seeded outcome streams.
     """
-    import json
     from time import perf_counter
 
     from .client.protocol import object_walk, recovering_walk
     from .engine import compile_dense, run_batch
+    from .io.json_io import write_json_record
     from .net import build_demo_program, make_request_trace
 
     program = build_demo_program(
@@ -1436,9 +1431,7 @@ def _cmd_loadtest_batch(args) -> int:
                 "checks": checks,
             },
         }
-        with open(args.json_path, "w") as handle:
-            json.dump(record, handle, indent=2)
-            handle.write("\n")
+        write_json_record(args.json_path, record)
         print(f"loadtest record written to {args.json_path}")
     if parity_exact is False:
         print(
@@ -1895,7 +1888,8 @@ def _cmd_approx_plan(args) -> int:
 
 
 def _cmd_approx_frontier(args) -> int:
-    from .approx import run_frontier_bench, write_approx_bench_json
+    from .approx import run_frontier_bench
+    from .io.json_io import write_json_record
 
     try:
         sizes = tuple(
@@ -1915,7 +1909,7 @@ def _cmd_approx_frontier(args) -> int:
         seed=args.seed,
     )
     if args.json_path:
-        write_approx_bench_json(args.json_path, record)
+        write_json_record(args.json_path, record)
     header = (
         f"{'size':>9} {'planner':>8} {'data_wait':>12} "
         f"{'vs lower':>8} {'vs best':>8} {'plan s':>8}"
@@ -2095,7 +2089,8 @@ def _cmd_sched_gc(args, store) -> int:
 
 
 def _cmd_sched_bench(args) -> int:
-    from .sched.harness import run_store_bench, write_sched_json
+    from .io.json_io import write_json_record
+    from .sched.harness import run_store_bench
 
     try:
         record = run_store_bench(
@@ -2122,7 +2117,7 @@ def _cmd_sched_bench(args) -> int:
         f"({result['store_bytes_per_version']:.0f} bytes/version)"
     )
     if args.json_path:
-        write_sched_json(args.json_path, record)
+        write_json_record(args.json_path, record)
         print(f"sched record written to {args.json_path}")
     return _sched_checks_verdict(record)
 
@@ -2131,7 +2126,8 @@ def _cmd_sched_loadtest(args) -> int:
     import asyncio
     from contextlib import ExitStack
 
-    from .sched.harness import run_cutover_loadtest, write_sched_json
+    from .io.json_io import write_json_record
+    from .sched.harness import run_cutover_loadtest
 
     try:
         with ExitStack() as stack:
@@ -2182,7 +2178,7 @@ def _cmd_sched_loadtest(args) -> int:
         f"{result['store']['size_bytes']} bytes"
     )
     if args.json_path:
-        write_sched_json(args.json_path, record)
+        write_json_record(args.json_path, record)
         print(f"sched record written to {args.json_path}")
     return _sched_checks_verdict(record)
 

@@ -21,7 +21,6 @@ the wall-clock. ``run_cluster_sweep`` measures exactly that curve
 from __future__ import annotations
 
 import asyncio
-import json
 from contextlib import asynccontextmanager
 from dataclasses import dataclass, field
 from time import perf_counter
@@ -30,6 +29,7 @@ import numpy as np
 
 from ..client.protocol import RecoveryPolicy
 from ..faults import FaultConfig
+from ..io.json_io import write_json_record
 from ..io.wire import DEFAULT_BUCKET_SIZE
 from ..obs.attrib import AttributionCollector
 from ..obs.events import TeeTracer, Tracer
@@ -439,7 +439,4 @@ def write_cluster_bench_json(
         },
         "aggregate": aggregate,
     }
-    with open(path, "w") as handle:
-        json.dump(record, handle, indent=2)
-        handle.write("\n")
-    return record
+    return write_json_record(path, record)

@@ -14,7 +14,6 @@ from .batch import run_batch
 from .bench import (
     format_engine_bench,
     run_engine_bench,
-    write_engine_bench_json,
 )
 from .dense import DenseProgram, compile_dense
 from .masks import materialise_outcomes
@@ -28,5 +27,4 @@ __all__ = [
     "materialise_outcomes",
     "run_engine_bench",
     "format_engine_bench",
-    "write_engine_bench_json",
 ]

@@ -22,7 +22,6 @@ pure function of the seeds.
 
 from __future__ import annotations
 
-import json
 from dataclasses import fields as dataclass_fields
 from time import perf_counter
 
@@ -37,7 +36,6 @@ __all__ = [
     "SPEEDUP_TARGET",
     "run_engine_bench",
     "format_engine_bench",
-    "write_engine_bench_json",
 ]
 
 #: The loss-free batch path must clear 50× the in-process scalar walk.
@@ -234,11 +232,3 @@ def format_engine_bench(record: dict) -> str:
         + " ".join(f"{name}={ok}" for name, ok in checks.items()),
     ]
     return "\n".join(lines)
-
-
-def write_engine_bench_json(path: str, record: dict) -> dict:
-    """Write ``record`` to ``path`` as JSON and return it."""
-    with open(path, "w") as handle:
-        json.dump(record, handle, indent=2)
-        handle.write("\n")
-    return record

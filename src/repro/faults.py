@@ -16,7 +16,7 @@ layer (:mod:`repro.io.wire`):
   models miss;
 * **corruption** — a delivered frame's payload is damaged with
   probability ``corruption``; at the wire layer the per-frame checksum
-  (:mod:`repro.io.wire` version-1 frames) turns this into a detected
+  (:mod:`repro.io.wire` CRC-32) turns this into a detected
   :class:`~repro.io.wire.WireFormatError`, so the client treats it like
   a loss (it cannot trust any bit of the frame).
 
@@ -95,7 +95,7 @@ class FaultConfig:
         last entry). In burst mode this is the *good*-state rate.
     corruption:
         Probability that a delivered (non-lost) frame is corrupted in
-        flight. Detected by the version-1 wire checksum; an object-level
+        flight. Detected by the wire frame's CRC-32; an object-level
         walk counts it separately but recovers the same way as a loss.
     burst:
         Optional :class:`BurstConfig` switching the loss process from
@@ -278,8 +278,9 @@ def corrupt_frame(frame: bytes, rng: np.random.Generator) -> bytes:
     """Flip one random byte of ``frame`` — guaranteed-detectable damage.
 
     The XOR mask is drawn from 1..255 so the byte always changes; the
-    version-1 wire checksum therefore always catches the damage (the
-    checksum field itself may be the flipped byte — still a mismatch).
+    wire frame's CRC-32 therefore always catches the damage (the
+    checksum field itself may be the flipped byte — still a mismatch —
+    and a flipped marker byte is an unknown-version error).
     """
     if not frame:
         return frame

@@ -9,9 +9,9 @@ from .json_io import (
     schedule_to_dict,
     tree_from_dict,
     tree_to_dict,
+    write_json_record,
 )
 from .wire import (
-    WIRE_VERSION,
     AirFrame,
     DecodedBucket,
     DecodedPointer,
@@ -28,7 +28,6 @@ from .wire import (
 from .wire_client import WireAccessRecord, wire_walk
 
 __all__ = [
-    "WIRE_VERSION",
     "WireFormatError",
     "DecodedBucket",
     "DecodedPointer",
@@ -50,4 +49,5 @@ __all__ = [
     "schedule_from_dict",
     "save_schedule",
     "load_schedule",
+    "write_json_record",
 ]

@@ -32,6 +32,7 @@ __all__ = [
     "schedule_from_dict",
     "save_schedule",
     "load_schedule",
+    "write_json_record",
 ]
 
 
@@ -118,11 +119,17 @@ def schedule_from_dict(document: dict[str, Any]) -> BroadcastSchedule:
     )
 
 
+def write_json_record(path: str | Path, record: dict) -> dict:
+    """Write ``record`` to ``path`` as indented JSON and return it."""
+    with open(path, "w") as handle:
+        json.dump(record, handle, indent=2)
+        handle.write("\n")
+    return record
+
+
 def save_schedule(schedule: BroadcastSchedule, path: str | Path) -> None:
     """Write a schedule document to ``path`` as JSON."""
-    Path(path).write_text(
-        json.dumps(schedule_to_dict(schedule), indent=2) + "\n"
-    )
+    write_json_record(path, schedule_to_dict(schedule))
 
 
 def load_schedule(path: str | Path) -> BroadcastSchedule:

@@ -14,12 +14,12 @@ size". This module makes that constraint concrete:
 * :func:`max_fanout_for_bucket_size` inverts the size arithmetic, the
   number [SV96] tunes the tree with.
 
-Version-1 frame layout (big-endian, ASCII-safe labels/keys):
+Frame layout (big-endian, ASCII-safe labels/keys):
 
 ====== ======================================================
 offset content
 ====== ======================================================
-0      version marker ``0xB1`` (version 1)
+0      version marker ``0xB1``
 1–4    CRC-32 of everything after this field (body + padding)
 5      bucket type: 0 empty, 1 index, 2 data
 6–7    next-cycle pointer offset (0 when absent; channel-1 only)
@@ -33,19 +33,34 @@ offset content
 pad    zeros up to ``bucket_size``
 ====== ======================================================
 
-A legacy *version-0* frame is the same body without the five-byte
-version/checksum header (its first byte is the bucket type, 0–2, which
-can never collide with the ``0xB1`` marker); :func:`decode_bucket`
-still reads those, so a v1 receiver interoperates with v0 archives.
-The checksum is what lets an unreliable channel's payload corruption
-(:mod:`repro.faults`) be *detected* instead of silently mis-routing a
-client: any flipped byte makes :func:`decode_bucket` raise
-:class:`WireFormatError` carrying the channel/offset the frame came
-from.
+A frame whose first byte is not ``0xB1`` is rejected as an unknown
+version. The checksum is what lets an unreliable channel's payload
+corruption (:mod:`repro.faults`) be *detected* instead of silently
+mis-routing a client: any flipped byte makes :func:`decode_bucket`
+raise :class:`WireFormatError` carrying the channel/offset the frame
+came from.
 
 Every frame is exactly ``bucket_size`` bytes; content that does not fit
 raises :class:`WireFormatError` instead of silently truncating — the
 same hard edge a real MAC layer has.
+
+A live station wraps each airing in a fixed 21-byte envelope
+(:class:`AirFrame`, :func:`encode_air_frame`,
+:class:`FrameStreamDecoder`):
+
+====== ======================================================
+offset content
+====== ======================================================
+0      magic ``0xAE``
+1      status: 0 aired, 1 lost (a lost airing has no payload)
+2      channel (1–255)
+3–6    absolute slot (1-based station air time)
+7–8    payload length ``u16``
+9–12   schedule version (0 = unversioned)
+13–16  trace id (0 with span id 0 = untraced)
+17–20  span id
+21–    payload: one bucket frame, or nothing
+====== ======================================================
 """
 
 from __future__ import annotations
@@ -59,7 +74,6 @@ from ..exceptions import ReproError
 from ..tree.node import DataNode, IndexNode, Node
 
 __all__ = [
-    "WIRE_VERSION",
     "WireFormatError",
     "DecodedPointer",
     "DecodedBucket",
@@ -76,11 +90,8 @@ __all__ = [
 
 DEFAULT_BUCKET_SIZE = 96
 
-WIRE_VERSION = 1
-"""Frame version :func:`encode_bucket` emits by default."""
-
-_MAGIC_V1 = 0xB1  # outside the 0..2 v0 type-byte range, so self-identifying
-_V1_HEADER = 5  # marker byte + CRC-32
+_MAGIC = 0xB1  # version marker
+_HEADER = 5  # marker byte + CRC-32
 
 _TYPE_EMPTY = 0
 _TYPE_INDEX = 1
@@ -126,17 +137,8 @@ def _subtree_max_key(node: Node) -> str:
     return best
 
 
-def encode_bucket(
-    bucket, bucket_size: int = DEFAULT_BUCKET_SIZE, *, version: int = WIRE_VERSION
-) -> bytes:
-    """Serialise one :class:`~repro.broadcast.bucket.Bucket` to a frame.
-
-    ``version`` selects the frame format: 1 (default) prefixes the body
-    with the version marker and CRC-32 checksum, 0 emits the legacy
-    unchecksummed layout.
-    """
-    if version not in (0, 1):
-        raise WireFormatError(f"unknown wire version {version}")
+def encode_bucket(bucket, bucket_size: int = DEFAULT_BUCKET_SIZE) -> bytes:
+    """Serialise one :class:`~repro.broadcast.bucket.Bucket` to a frame."""
     next_offset = (
         bucket.next_cycle_pointer.offset if bucket.next_cycle_pointer else 0
     )
@@ -174,18 +176,15 @@ def encode_bucket(
             payload = f"item:{bucket.node.label}".encode()
             body = struct.pack(">H", len(payload)) + payload
 
-    header = _V1_HEADER if version == 1 else 0
     content = struct.pack(">BHB", kind, next_offset, len(label)) + label + body
-    if header + len(content) > bucket_size:
+    if _HEADER + len(content) > bucket_size:
         raise WireFormatError(
-            f"bucket content ({header + len(content)} bytes) exceeds the "
+            f"bucket content ({_HEADER + len(content)} bytes) exceeds the "
             f"{bucket_size}-byte frame; lower the tree fanout or raise "
             "the bucket size"
         )
-    padded = content + b"\x00" * (bucket_size - header - len(content))
-    if version == 0:
-        return padded
-    return struct.pack(">BI", _MAGIC_V1, zlib.crc32(padded)) + padded
+    padded = content + b"\x00" * (bucket_size - _HEADER - len(content))
+    return struct.pack(">BI", _MAGIC, zlib.crc32(padded)) + padded
 
 
 def _decode_text(data: bytes, what: str) -> str:
@@ -210,12 +209,10 @@ def decode_bucket(
 ) -> DecodedBucket:
     """Parse one frame; raises :class:`WireFormatError` on corruption.
 
-    Both versions are accepted: a version-1 frame (marker ``0xB1``) has
-    its CRC-32 verified first — a mismatch means the channel damaged the
-    frame in flight — while a legacy version-0 frame (first byte 0–2) is
-    parsed structurally only. ``channel``/``offset`` are optional
-    provenance, included in every error so a receiver's logs say *which
-    airing* was bad.
+    The CRC-32 is verified before the body is parsed — a mismatch means
+    the channel damaged the frame in flight. ``channel``/``offset`` are
+    optional provenance, included in every error so a receiver's logs
+    say *which airing* was bad.
     """
     where = _frame_context(channel, offset)
     try:
@@ -234,27 +231,25 @@ def decode_bucket(
 def _decode_frame(frame: bytes, where: str) -> DecodedBucket:
     if not frame:
         raise WireFormatError(f"empty frame{where}")
-    if frame[0] == _MAGIC_V1:
-        if len(frame) < _V1_HEADER:
-            raise WireFormatError(
-                f"frame shorter than the version-1 header{where}"
-            )
-        (stored,) = struct.unpack(">I", frame[1:_V1_HEADER])
-        body = frame[_V1_HEADER:]
-        actual = zlib.crc32(body)
-        if stored != actual:
-            raise WireFormatError(
-                f"checksum mismatch{where}: stored {stored:#010x}, "
-                f"computed {actual:#010x} — frame corrupted in flight"
-            )
-        return _decode_body(body, where)
-    if frame[0] in (_TYPE_EMPTY, _TYPE_INDEX, _TYPE_DATA):
-        return _decode_body(frame, where)  # legacy version-0 frame
-    raise WireFormatError(f"unknown wire version byte {frame[0]:#04x}{where}")
+    if frame[0] != _MAGIC:
+        raise WireFormatError(
+            f"unknown wire version byte {frame[0]:#04x}{where}"
+        )
+    if len(frame) < _HEADER:
+        raise WireFormatError(f"frame shorter than the version-1 header{where}")
+    (stored,) = struct.unpack(">I", frame[1:_HEADER])
+    body = frame[_HEADER:]
+    actual = zlib.crc32(body)
+    if stored != actual:
+        raise WireFormatError(
+            f"checksum mismatch{where}: stored {stored:#010x}, "
+            f"computed {actual:#010x} — frame corrupted in flight"
+        )
+    return _decode_body(body, where)
 
 
 def _decode_body(frame: bytes, where: str = "") -> DecodedBucket:
-    """Parse the (un)checksummed body shared by both frame versions."""
+    """Parse the checksummed body that follows the frame header."""
     if len(frame) < 4:
         raise WireFormatError(f"frame shorter than the fixed header{where}")
     kind, next_offset, label_length = struct.unpack(">BHB", frame[:4])
@@ -309,20 +304,17 @@ def _decode_body(frame: bytes, where: str = "") -> DecodedBucket:
 
 
 def encode_program(
-    program: BroadcastProgram,
-    bucket_size: int = DEFAULT_BUCKET_SIZE,
-    *,
-    version: int = WIRE_VERSION,
+    program: BroadcastProgram, bucket_size: int = DEFAULT_BUCKET_SIZE
 ) -> list[list[bytes]]:
     """Serialise a whole cycle: ``frames[channel-1][slot-1]``."""
     return [
-        [encode_bucket(bucket, bucket_size, version=version) for bucket in row]
+        [encode_bucket(bucket, bucket_size) for bucket in row]
         for row in program.buckets
     ]
 
 
 def decode_cycle(frames: list[list[bytes]]) -> list[list[DecodedBucket]]:
-    """Parse every frame of an encoded cycle (either version)."""
+    """Parse every frame of an encoded cycle."""
     return [
         [
             decode_bucket(frame, channel=channel, offset=slot)
@@ -333,31 +325,21 @@ def decode_cycle(frames: list[list[bytes]]) -> list[list[DecodedBucket]]:
 
 
 def index_bucket_size(
-    fanout: int,
-    label_bytes: int = 8,
-    key_bytes: int = 8,
-    *,
-    version: int = WIRE_VERSION,
+    fanout: int, label_bytes: int = 8, key_bytes: int = 8
 ) -> int:
     """Frame bytes an index bucket with ``fanout`` pointers needs."""
-    header = _V1_HEADER if version == 1 else 0
-    return header + 4 + label_bytes + 1 + fanout * (4 + key_bytes)
+    return _HEADER + 4 + label_bytes + 1 + fanout * (4 + key_bytes)
 
 
 def max_fanout_for_bucket_size(
-    bucket_size: int,
-    label_bytes: int = 8,
-    key_bytes: int = 8,
-    *,
-    version: int = WIRE_VERSION,
+    bucket_size: int, label_bytes: int = 8, key_bytes: int = 8
 ) -> int:
     """The largest tree fanout whose index bucket fits ``bucket_size``.
 
     This is the [SV96] tuning knob: pick the k-ary alphabetic tree whose
     nodes fill — but do not overflow — a wireless packet.
     """
-    header = _V1_HEADER if version == 1 else 0
-    budget = bucket_size - header - 4 - label_bytes - 1
+    budget = bucket_size - _HEADER - 4 - label_bytes - 1
     per_pointer = 4 + key_bytes
     return max(0, budget // per_pointer)
 
@@ -366,18 +348,15 @@ def max_fanout_for_bucket_size(
 # Transport envelope — how a live station airs frames over a byte stream.
 # ---------------------------------------------------------------------------
 
-_AIR_MAGIC = 0xAE  # version-1 envelope
-_AIR_MAGIC_V2 = 0xAF  # version-2 envelope: v1 + schedule-version stamp
-_AIR_MAGIC_V3 = 0xB0  # version-3 envelope: v2 + trace context
-_AIR_HEADER = struct.Struct(">BBBIH")  # magic, status, channel, slot, length
-_AIR_HEADER_V2 = struct.Struct(">BBBIHI")  # … + schedule version (u32)
-_AIR_HEADER_V3 = struct.Struct(">BBBIHIII")  # … + trace id, span id (u32 each)
+_AIR_MAGIC = 0xAE
+# magic, status, channel, slot, length, schedule version, trace id, span id
+_AIR_HEADER = struct.Struct(">BBBIHIII")
 
 _AIR_OK = 0
 _AIR_LOST = 1
 
 _MAX_AIR_PAYLOAD = 0xFFFF
-_MAX_SCHEDULE_VERSION = 0xFFFFFFFF
+_MAX_U32 = 0xFFFFFFFF
 
 
 @dataclass(frozen=True)
@@ -387,7 +366,7 @@ class AirFrame:
     The bucket wire format (:func:`encode_bucket`) is position-blind —
     a frame does not say when or where it aired. A live receiver needs
     exactly that to drive its pointer walk, so the station wraps each
-    airing in a 9-byte envelope carrying the channel, the absolute slot
+    airing in a 21-byte envelope carrying the channel, the absolute slot
     (1-based, station air time) and a status byte: ``lost`` marks an
     airing the channel dropped (the client was tuned in and heard
     nothing — the envelope is how a *simulated* unreliable medium tells
@@ -396,19 +375,15 @@ class AirFrame:
     end, exactly as over real air.
 
     ``schedule_version`` is the :mod:`repro.sched` version of the plan
-    that produced the airing. ``0`` means unversioned: the envelope
-    encodes to the original 9-byte version-1 layout, byte-identical to
-    pre-versioning stations. A positive version selects the 13-byte
-    version-2 envelope; receivers decode both, which is how a cutover
-    becomes *visible* to a tuner mid-walk instead of silently swapping
-    the pointer graph under it.
+    that produced the airing; ``0`` means unversioned. A change of
+    version is how a cutover becomes *visible* to a tuner mid-walk
+    instead of silently swapping the pointer graph under it.
 
     ``trace_id``/``span_id`` are the causal trace context of the
     publish that put this schedule on the air (see
-    :mod:`repro.obs.spans`). ``(0, 0)`` means untraced and the frame
-    encodes as v1/v2 unchanged; a present context selects the 21-byte
-    version-3 envelope, which is how one trace links a server replan
-    through the station cutover to every tuner walk it restarts.
+    :mod:`repro.obs.spans`); ``(0, 0)`` means untraced. The context is
+    how one trace links a server replan through the station cutover to
+    every tuner walk it restarts.
     """
 
     channel: int
@@ -421,17 +396,10 @@ class AirFrame:
 
 
 def encode_air_frame(air: AirFrame) -> bytes:
-    """Serialise one envelope (+ payload) for a byte-stream transport.
-
-    Unversioned airings (``schedule_version == 0``) emit the version-1
-    envelope unchanged; versioned airings emit version 2; airings
-    carrying a trace context emit version 3 — so an untraced,
-    unversioned station stays byte-identical to the pre-versioning
-    wire, frame for frame.
-    """
+    """Serialise one envelope (+ payload) for a byte-stream transport."""
     if not 1 <= air.channel <= 0xFF:
         raise WireFormatError(f"air channel {air.channel} out of range")
-    if not 1 <= air.absolute_slot <= 0xFFFFFFFF:
+    if not 1 <= air.absolute_slot <= _MAX_U32:
         raise WireFormatError(
             f"absolute slot {air.absolute_slot} out of range"
         )
@@ -439,32 +407,19 @@ def encode_air_frame(air: AirFrame) -> bytes:
         raise WireFormatError("air payload exceeds 64 KiB")
     if air.lost and air.payload:
         raise WireFormatError("a lost airing cannot carry a payload")
-    if not 0 <= air.schedule_version <= _MAX_SCHEDULE_VERSION:
+    if not 0 <= air.schedule_version <= _MAX_U32:
         raise WireFormatError(
             f"schedule version {air.schedule_version} out of range"
         )
-    if not 0 <= air.trace_id <= 0xFFFFFFFF:
+    if not 0 <= air.trace_id <= _MAX_U32:
         raise WireFormatError(f"trace id {air.trace_id} out of range")
-    if not 0 <= air.span_id <= 0xFFFFFFFF:
+    if not 0 <= air.span_id <= _MAX_U32:
         raise WireFormatError(f"span id {air.span_id} out of range")
-    status = _AIR_LOST if air.lost else _AIR_OK
-    if air.trace_id or air.span_id:
-        header = _AIR_HEADER_V3.pack(
-            _AIR_MAGIC_V3, status, air.channel, air.absolute_slot,
-            len(air.payload), air.schedule_version,
-            air.trace_id, air.span_id,
-        )
-    elif air.schedule_version == 0:
-        header = _AIR_HEADER.pack(
-            _AIR_MAGIC, status, air.channel, air.absolute_slot,
-            len(air.payload),
-        )
-    else:
-        header = _AIR_HEADER_V2.pack(
-            _AIR_MAGIC_V2, status, air.channel, air.absolute_slot,
-            len(air.payload), air.schedule_version,
-        )
-    return header + air.payload
+    return _AIR_HEADER.pack(
+        _AIR_MAGIC, _AIR_LOST if air.lost else _AIR_OK, air.channel,
+        air.absolute_slot, len(air.payload), air.schedule_version,
+        air.trace_id, air.span_id,
+    ) + air.payload
 
 
 class FrameStreamDecoder:
@@ -487,52 +442,23 @@ class FrameStreamDecoder:
         return len(self._buffer)
 
     def feed(self, data: bytes) -> list[AirFrame]:
-        """Absorb ``data``; return the envelopes it completed, in order.
-
-        All three envelope versions are accepted, per frame: a stream
-        may interleave version-1, version-2 and version-3 airings (a
-        station mid-way through adopting versioning or tracing does
-        exactly that).
-        """
+        """Absorb ``data``; return the envelopes it completed, in order."""
         self._buffer.extend(data)
         frames: list[AirFrame] = []
         cursor = 0
-        while len(self._buffer) - cursor >= 1:
+        size = _AIR_HEADER.size
+        while len(self._buffer) > cursor:
             magic = self._buffer[cursor]
-            if magic == _AIR_MAGIC:
-                header = _AIR_HEADER
-            elif magic == _AIR_MAGIC_V2:
-                header = _AIR_HEADER_V2
-            elif magic == _AIR_MAGIC_V3:
-                header = _AIR_HEADER_V3
-            else:
+            if magic != _AIR_MAGIC:
                 raise WireFormatError(
                     f"bad air-envelope magic {magic:#04x}; stream is "
                     "desynchronised"
                 )
-            size = header.size
             if len(self._buffer) - cursor < size:
                 break  # header still in flight
-            fields = header.unpack_from(self._buffer, cursor)
-            trace_id = span_id = 0
-            if magic == _AIR_MAGIC:
-                _, status, channel, slot, length = fields
-                version = 0
-            elif magic == _AIR_MAGIC_V2:
-                _, status, channel, slot, length, version = fields
-                if version == 0:
-                    raise WireFormatError(
-                        "version-2 air envelope carries schedule version 0"
-                    )
-            else:
-                (
-                    _, status, channel, slot, length, version,
-                    trace_id, span_id,
-                ) = fields
-                if trace_id == 0 and span_id == 0:
-                    raise WireFormatError(
-                        "version-3 air envelope carries no trace context"
-                    )
+            (
+                _, status, channel, slot, length, version, trace_id, span_id,
+            ) = _AIR_HEADER.unpack_from(self._buffer, cursor)
             if status not in (_AIR_OK, _AIR_LOST):
                 raise WireFormatError(f"unknown air status {status}")
             if len(self._buffer) - cursor - size < length:

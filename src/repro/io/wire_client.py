@@ -58,7 +58,7 @@ def wire_walk(
     request trace through the simulator in the live fleet's vocabulary.
     ``walk_id`` stamps the emitted events' ``walk`` correlation field
     (see :class:`~repro.obs.events.SlotRead`). ``trace_context`` is an
-    optional ``(trace_id, span_id)`` causal context — what a wire-v3
+    optional ``(trace_id, span_id)`` causal context — what an air
     envelope would have carried had this grid been on live air — so a
     simulated walk driven through a span-capable tracer parents its
     segment spans exactly like a socket tuner's.

@@ -4,7 +4,7 @@ Everything below the paper's model is simulated in-process elsewhere in
 the repository; this package is where frames actually cross sockets:
 
 * :class:`~repro.net.station.BroadcastStation` — compiles a plan's
-  broadcast program to version-1 wire frames and airs one frame per
+  broadcast program to checksummed wire frames and airs one frame per
   channel per slot tick, over a TCP fan-out control protocol (default)
   or UDP datagram push, with per-connection send queues, backpressure,
   optional :mod:`repro.faults` injection and clean shutdown;

@@ -21,7 +21,6 @@ exit non-zero if the gate fails.
 from __future__ import annotations
 
 import asyncio
-import json
 from dataclasses import dataclass, field
 from math import ceil
 from time import perf_counter
@@ -32,6 +31,7 @@ from ..broadcast.pointers import BroadcastProgram
 from ..client.protocol import RecoveryPolicy, object_walk
 from ..client.walk import WalkResult
 from ..faults import FaultConfig
+from ..io.json_io import write_json_record
 from ..io.wire import DEFAULT_BUCKET_SIZE, encode_program
 from ..io.wire_client import WireAccessRecord, wire_walk
 from ..obs.attrib import AttributionCollector
@@ -537,7 +537,4 @@ def write_loadtest_json(path: str, report: LoadReport, config: dict) -> dict:
             "checks": report.to_dict()["checks"],
         },
     }
-    with open(path, "w") as handle:
-        json.dump(record, handle, indent=2)
-        handle.write("\n")
-    return record
+    return write_json_record(path, record)

@@ -3,7 +3,7 @@
 The station takes a pointer-wired
 :class:`~repro.broadcast.pointers.BroadcastProgram` (usually via
 :meth:`repro.planners.PlanResult.compile` or
-:meth:`repro.server.BroadcastServer.station`), encodes it to version-1
+:meth:`repro.server.BroadcastServer.station`), encodes it to checksummed
 wire frames once, and airs it cyclically on a
 :class:`~repro.net.clock.SlotClock` — one frame per channel per slot
 tick — over one of two transports:
@@ -91,7 +91,7 @@ class _Segment:
 
     ``trace_id``/``span_id`` are the causal context of the publish that
     created the segment (zeros when untraced); every airing of the
-    segment carries them on the wire (v3 envelope), which is how a
+    segment carries them in its air envelope, which is how a
     tuner's restarted walk learns which cutover to blame.
     """
 
@@ -140,12 +140,10 @@ class BroadcastStation:
         (:class:`~repro.obs.events.FrameDropped`) and — via the fault
         injector — every non-OK channel decision.
     schedule_version:
-        :mod:`repro.sched` version of ``program``. 0 (default) airs
-        unversioned version-1 envelopes — byte-identical to a station
-        without versioning. Positive versions stamp every airing with
-        the serving plan's version (wire v2), the signal a tuner's walk
-        uses to detect a mid-walk cutover; new versions go on air via
-        :meth:`publish`.
+        :mod:`repro.sched` version of ``program``, stamped on every
+        airing's envelope. 0 (default) means unversioned. A change of
+        stamp is the signal a tuner's walk uses to detect a mid-walk
+        cutover; new versions go on air via :meth:`publish`.
     """
 
     def __init__(
@@ -183,9 +181,7 @@ class BroadcastStation:
         self.channels = program.channels
         # The version timeline: one segment per published plan, starts
         # strictly increasing and cycle-boundary aligned. Version 0
-        # (the default) airs unversioned version-1 envelopes, so a
-        # station that never publishes is byte-identical on the wire to
-        # the pre-versioning implementation.
+        # (the default) stamps airings as unversioned.
         self.version = schedule_version
         self._timeline: list[_Segment] = [
             _Segment(1, schedule_version, program, self.frames,

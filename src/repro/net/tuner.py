@@ -34,9 +34,15 @@ from ..io.wire import AirFrame, FrameStreamDecoder, WireFormatError, decode_buck
 from ..obs.events import Tracer
 from ..perf import PerfRecorder
 
-__all__ = ["TunerClient", "TunerProtocolError"]
+__all__ = ["TunerClient", "TunerProtocolError", "WELCOME_TIMEOUT"]
 
 _READ_CHUNK = 4096
+
+#: Seconds :meth:`TunerClient.connect` waits for the TCP connection and
+#: the station's WELCOME line together. A station that accepts and never
+#: greets (an overflowed accept queue, a half-open peer) would otherwise
+#: hold the tuner forever.
+WELCOME_TIMEOUT = 10.0
 
 
 class TunerProtocolError(ReproError):
@@ -86,11 +92,42 @@ class TunerClient:
 
     # -- lifecycle ----------------------------------------------------------
     async def connect(self) -> "TunerClient":
-        """Open the connection and read the station's WELCOME metadata."""
-        self._reader, self._writer = await asyncio.open_connection(
-            self.host, self.port
-        )
-        line = await self._reader.readline()
+        """Open the connection and read the station's WELCOME metadata.
+
+        Raises :class:`TunerProtocolError` when the WELCOME line has not
+        arrived within :data:`WELCOME_TIMEOUT` seconds.
+        """
+        task = asyncio.current_task()
+        assert task is not None
+        expired = False
+
+        def expire() -> None:
+            nonlocal expired
+            expired = True
+            task.cancel()
+
+        # One timer that cancels this task: asyncio.wait_for would wrap
+        # the handshake in a second task on Python 3.10.
+        timer = asyncio.get_running_loop().call_later(WELCOME_TIMEOUT, expire)
+        try:
+            self._reader, self._writer = await asyncio.open_connection(
+                self.host, self.port
+            )
+            line = await self._reader.readline()
+        except asyncio.CancelledError:
+            # Re-raise unless the timer alone cancelled us (uncancel,
+            # Python 3.11+, counts cancellations requested from outside).
+            if not expired or (hasattr(task, "uncancel") and task.uncancel()):
+                raise
+            if self._writer is not None:
+                self._writer.close()
+            self._reader = self._writer = None
+            raise TunerProtocolError(
+                f"no WELCOME from {self.host}:{self.port} within "
+                f"{WELCOME_TIMEOUT}s"
+            ) from None
+        finally:
+            timer.cancel()
         if not line:
             raise TunerProtocolError("station closed before WELCOME")
         try:
@@ -153,9 +190,9 @@ class TunerClient:
         )
         while (listen := walk.next_listen()) is not None:
             air = await self._listen(listen.channel, listen.absolute_slot)
-            # Wire-propagated causal context (v3 envelopes) must reach
-            # the walk before the version stamp: a cutover closes the
-            # current segment span and the new one parents onto the
+            # Wire-propagated causal context (zeros when untraced) must
+            # reach the walk before the version stamp: a cutover closes
+            # the current segment span and the new one parents onto the
             # publish span this very frame carries.
             walk.observe_trace(air.trace_id, air.span_id)
             if walk.observe_version(air.schedule_version):

@@ -20,7 +20,7 @@ that only emit flat events keep working unchanged.
 Identifiers are **deterministic**: each tracer allocates u32 ids from
 a counter salted by its ``namespace`` (crc32-derived high bits), never
 from clocks or randomness, so a seeded run produces the same causal
-tree every time and ids fit the wire-v3 envelope's u32 fields. A root
+tree every time and ids fit the air envelope's u32 fields. A root
 span's ``span_id`` doubles as its ``trace_id``.
 
 Reconstruction (:func:`span_tree`) and the containment checks
@@ -64,8 +64,8 @@ class TraceContext(NamedTuple):
     """The compact wire-propagated form of a span: who to blame.
 
     ``trace_id`` names the causal tree, ``span_id`` the node new work
-    should parent onto. Both are u32; ``(0, 0)`` means "no context"
-    (and keeps untraced wire envelopes byte-identical to v1/v2).
+    should parent onto. Both are u32; ``(0, 0)`` means "no context",
+    which is what an untraced air envelope carries.
     """
 
     trace_id: int

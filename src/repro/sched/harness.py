@@ -25,7 +25,6 @@ of (timeline, coordinates).
 from __future__ import annotations
 
 import asyncio
-import json
 import os
 import tempfile
 from contextlib import ExitStack
@@ -46,7 +45,7 @@ from ..workloads.weights import zipf_weights
 from .delta import canonical_bytes, plan_to_doc
 from .store import ScheduleStore
 
-__all__ = ["run_cutover_loadtest", "run_store_bench", "write_sched_json"]
+__all__ = ["run_cutover_loadtest", "run_store_bench"]
 
 
 async def run_cutover_loadtest(
@@ -77,7 +76,7 @@ async def run_cutover_loadtest(
     When ``tracer`` is enabled (or a ``flight_recorder`` is attached)
     the run is span-traced end to end: each scheduled publish opens a
     ``replan`` root span whose children are the ``store.publish`` and
-    the ``station.cutover``, the cutover's context rides the wire-v3
+    the ``station.cutover``, the cutover's context rides the air
     envelopes, and every walk segment a cutover restarts parents onto
     it — one trace id from the replan decision down to the tuner
     restart. ``flight_recorder`` (a
@@ -449,11 +448,3 @@ def run_store_bench(
             "checks": checks,
             "ok": all(checks.values()),
         }
-
-
-def write_sched_json(path: str, record: dict) -> dict:
-    """Write one sched harness record to ``path`` as JSON and return it."""
-    with open(path, "w") as handle:
-        json.dump(record, handle, indent=2)
-        handle.write("\n")
-    return record

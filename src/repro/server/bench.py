@@ -21,13 +21,13 @@ exactly, the lossy run must not beat the lossless mean access time
 
 from __future__ import annotations
 
-import json
 from time import perf_counter
 
 import numpy as np
 
 from ..client.protocol import RecoveryPolicy
 from ..faults import BurstConfig, FaultConfig
+from ..io.json_io import write_json_record
 from .loop import BroadcastServer, ServerReport
 
 __all__ = ["run_server_bench", "format_server_bench", "write_server_bench_json"]
@@ -160,8 +160,4 @@ def format_server_bench(record: dict) -> str:
 
 def write_server_bench_json(path: str) -> dict:
     """Run the bench and write the record to ``path``; returns the record."""
-    record = run_server_bench()
-    with open(path, "w") as handle:
-        json.dump(record, handle, indent=2)
-        handle.write("\n")
-    return record
+    return write_json_record(path, run_server_bench())

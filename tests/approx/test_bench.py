@@ -6,7 +6,8 @@ import json
 
 import pytest
 
-from repro.approx import run_frontier_bench, write_approx_bench_json
+from repro.approx import run_frontier_bench
+from repro.io import write_json_record
 from repro.perf import PerfRecorder
 
 
@@ -85,7 +86,7 @@ class TestFrontierRecord:
 class TestWriteJson:
     def test_writes_the_record(self, record, tmp_path):
         path = tmp_path / "BENCH_approx.json"
-        written = write_approx_bench_json(str(path), record)
+        written = write_json_record(str(path), record)
         on_disk = json.loads(path.read_text())
         assert on_disk == written == record
         assert on_disk["suite"] == "approx-frontier"

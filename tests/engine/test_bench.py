@@ -10,8 +10,8 @@ from repro.engine.bench import (
     SPEEDUP_TARGET,
     format_engine_bench,
     run_engine_bench,
-    write_engine_bench_json,
 )
+from repro.io import write_json_record
 
 
 @pytest.fixture(scope="module")
@@ -85,7 +85,7 @@ class TestOutputs:
 
     def test_writes_the_record(self, record, tmp_path):
         path = tmp_path / "BENCH_engine.json"
-        written = write_engine_bench_json(str(path), record)
+        written = write_json_record(str(path), record)
         on_disk = json.loads(path.read_text())
         assert on_disk == written == record
         assert on_disk["suite"] == "engine-batch"

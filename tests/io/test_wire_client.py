@@ -13,6 +13,8 @@ from repro.io.wire_client import wire_walk
 from repro.tree.alphabetic import optimal_alphabetic_tree
 from repro.workloads.catalogs import stock_catalog
 
+from .test_wire import checksummed
+
 
 @pytest.fixture
 def alphabetic_setup():
@@ -91,6 +93,7 @@ class TestFailureModes:
         _, program, frames = alphabetic_setup
         frames = [list(row) for row in frames]
         size = len(frames[0][0])
-        frames[0][2] = b"\x00" * size  # empty frame with no next pointer
+        # A well-formed empty frame whose body is all zeros: no next pointer.
+        frames[0][2] = checksummed(b"\x00" * (size - 5))
         with pytest.raises(WireFormatError, match="next-cycle"):
             wire_walk(frames, "AAPL", 3)

@@ -3,12 +3,13 @@
 Satellite coverage beyond the structured property tests in
 ``test_wire_properties.py``: single-bucket encode/decode round-trips
 over arbitrary labels (up to the 255-byte limit), bucket-size edges
-(exact fit passes, one byte under raises), v0/v1 interop on the same
-content, and the stream decoder reassembling envelopes from arbitrary
-chunkings.
+(exact fit passes, one byte under raises), and the stream decoder
+reassembling envelopes from arbitrary chunkings.
 """
 
 from __future__ import annotations
+
+import struct
 
 import pytest
 from hypothesis import HealthCheck, given, settings
@@ -60,25 +61,16 @@ class TestDataBucketRoundTrip:
     @given(
         label=labels,
         next_offset=st.integers(min_value=0, max_value=0xFFFF),
-        version=st.sampled_from([0, 1]),
     )
-    def test_round_trip(self, label, next_offset, version):
+    def test_round_trip(self, label, next_offset):
         bucket = data_bucket(label, next_offset)
-        frame = encode_bucket(bucket, 1024, version=version)
+        frame = encode_bucket(bucket, 1024)
         assert len(frame) == 1024
         decoded = decode_bucket(frame)
         assert decoded.kind == "data"
         assert decoded.label == label
         assert decoded.next_cycle_offset == next_offset
         assert decoded.payload == f"item:{label}".encode()
-
-    @settings(max_examples=60, **COMMON)
-    @given(label=labels, version=st.sampled_from([0, 1]))
-    def test_v0_and_v1_agree_on_content(self, label, version):
-        bucket = data_bucket(label, 7)
-        v0 = decode_bucket(encode_bucket(bucket, 1024, version=0))
-        v1 = decode_bucket(encode_bucket(bucket, 1024, version=1))
-        assert v0 == v1  # one receiver, both archives
 
     def test_255_byte_label_is_the_edge(self):
         frame = encode_bucket(data_bucket("L" * 255), 1024)
@@ -89,19 +81,19 @@ class TestDataBucketRoundTrip:
 
 class TestBucketSizeEdges:
     @settings(max_examples=80, **COMMON)
-    @given(label=labels, version=st.sampled_from([0, 1]))
-    def test_exact_fit_passes_one_byte_under_raises(self, label, version):
+    @given(label=labels)
+    def test_exact_fit_passes_one_byte_under_raises(self, label):
         bucket = data_bucket(label)
-        header = 5 if version == 1 else 0
-        # content = fixed header (4) + label + payload length (2) + payload
-        exact = header + 4 + len(label.encode()) + 2 + len(
+        # marker + CRC (5) + fixed header (4) + label + payload length (2)
+        # + payload
+        exact = 5 + 4 + len(label.encode()) + 2 + len(
             f"item:{label}".encode()
         )
-        frame = encode_bucket(bucket, exact, version=version)
+        frame = encode_bucket(bucket, exact)
         assert len(frame) == exact
         assert decode_bucket(frame).label == label
         with pytest.raises(WireFormatError, match="exceeds"):
-            encode_bucket(bucket, exact - 1, version=version)
+            encode_bucket(bucket, exact - 1)
 
     @settings(max_examples=40, **COMMON)
     @given(
@@ -133,38 +125,40 @@ class TestBucketSizeEdges:
         ]
 
 
+# Zero is the "absent" value of the version and trace fields, so the
+# draws hit it as often as a non-zero value.
+u32_or_zero = st.one_of(
+    st.just(0), st.integers(min_value=1, max_value=0xFFFFFFFF)
+)
+envelope = dict(
+    channel=st.integers(min_value=1, max_value=255),
+    absolute_slot=st.integers(min_value=1, max_value=0xFFFFFFFF),
+    schedule_version=u32_or_zero,
+    trace_id=u32_or_zero,
+    span_id=u32_or_zero,
+)
+
+
 class TestAirEnvelopeFuzz:
-    # schedule_version 0 emits the 9-byte version-1 envelope, positive
-    # versions the 13-byte version-2 one — the lists mix both freely,
-    # exactly like a stream crossing a mid-walk cutover does.
     airs = st.lists(
         st.one_of(
             st.builds(
-                AirFrame,
-                channel=st.integers(min_value=1, max_value=255),
-                absolute_slot=st.integers(min_value=1, max_value=0xFFFFFFFF),
-                payload=st.binary(min_size=0, max_size=300),
-                schedule_version=st.integers(
-                    min_value=0, max_value=0xFFFFFFFF
-                ),
+                AirFrame, payload=st.binary(min_size=0, max_size=300),
+                **envelope,
             ),
-            st.builds(
-                AirFrame,
-                channel=st.integers(min_value=1, max_value=255),
-                absolute_slot=st.integers(min_value=1, max_value=0xFFFFFFFF),
-                lost=st.just(True),
-                schedule_version=st.integers(
-                    min_value=0, max_value=0xFFFFFFFF
-                ),
-            ),
+            st.builds(AirFrame, lost=st.just(True), **envelope),
         ),
         max_size=12,
     )
 
-    @settings(max_examples=120, **COMMON)
+    @settings(max_examples=200, **COMMON)
     @given(airs=airs, data=st.data())
     def test_any_chunking_reassembles_the_same_envelopes(self, airs, data):
+        """Versioned or not, traced or not, every airing rides the same
+        21-byte header and comes back field for field from arbitrary
+        TCP chunks."""
         stream = b"".join(encode_air_frame(air) for air in airs)
+        assert len(stream) == sum(21 + len(air.payload) for air in airs)
         decoder = FrameStreamDecoder()
         received = []
         cursor = 0
@@ -188,85 +182,13 @@ class TestAirEnvelopeFuzz:
                 AirFrame(channel=1, absolute_slot=1, payload=b"x", lost=True)
             )
         # And a forged stream claiming LOST-with-payload is rejected too.
-        import struct
-
-        forged = struct.pack(">BBBIH", 0xAE, 1, 1, 1, 2) + b"xy"
+        forged = struct.pack(">BBBIHIII", 0xAE, 1, 1, 1, 2, 0, 0, 0) + b"xy"
         with pytest.raises(WireFormatError, match="lost airing"):
             FrameStreamDecoder().feed(forged)
 
-
-class TestAirEnvelopeVersionInterop:
-    """Version-2 (schedule-stamped) and version-1 envelopes interoperate."""
-
-    @settings(max_examples=120, **COMMON)
-    @given(
-        channel=st.integers(min_value=1, max_value=255),
-        slot=st.integers(min_value=1, max_value=0xFFFFFFFF),
-        payload=st.binary(min_size=0, max_size=200),
-        version=st.integers(min_value=1, max_value=0xFFFFFFFF),
-    )
-    def test_v2_round_trip_carries_the_version(
-        self, channel, slot, payload, version
-    ):
-        air = AirFrame(
-            channel=channel,
-            absolute_slot=slot,
-            payload=payload,
-            schedule_version=version,
-        )
-        encoded = encode_air_frame(air)
-        assert encoded[0] == 0xAF  # version-2 magic
-        assert len(encoded) == 13 + len(payload)
-        assert FrameStreamDecoder().feed(encoded) == [air]
-
-    @settings(max_examples=80, **COMMON)
-    @given(
-        channel=st.integers(min_value=1, max_value=255),
-        slot=st.integers(min_value=1, max_value=0xFFFFFFFF),
-        payload=st.binary(min_size=0, max_size=200),
-    )
-    def test_version_zero_is_byte_identical_to_v1(
-        self, channel, slot, payload
-    ):
-        """An unversioned station's bytes never change: wire stability."""
-        stamped = AirFrame(
-            channel=channel,
-            absolute_slot=slot,
-            payload=payload,
-            schedule_version=0,
-        )
-        plain = AirFrame(channel=channel, absolute_slot=slot, payload=payload)
-        encoded = encode_air_frame(stamped)
-        assert encoded == encode_air_frame(plain)
-        assert encoded[0] == 0xAE  # version-1 magic
-        assert len(encoded) == 9 + len(payload)
-
-    @settings(max_examples=60, **COMMON)
-    @given(airs=TestAirEnvelopeFuzz.airs, data=st.data())
-    def test_mixed_version_stream_survives_any_chunking(self, airs, data):
-        """A cutover mid-stream: v1 and v2 frames interleaved freely."""
-        stream = b"".join(encode_air_frame(air) for air in airs)
-        decoder = FrameStreamDecoder()
-        received = []
-        cursor = 0
-        while cursor < len(stream):
-            step = data.draw(
-                st.integers(min_value=1, max_value=len(stream) - cursor)
-            )
-            received.extend(decoder.feed(stream[cursor:cursor + step]))
-            cursor += step
-        assert received == airs
-        # Version stamps survive exactly; v1 frames decode as version 0.
-        assert [a.schedule_version for a in received] == [
-            a.schedule_version for a in airs
-        ]
-
-    def test_forged_v2_with_version_zero_is_rejected(self):
-        """The v2 layout exists *because* it carries a version; a v2
-        header claiming version 0 is a protocol violation, not a quiet
-        alias of v1."""
-        import struct
-
-        forged = struct.pack(">BBBIHI", 0xAF, 0, 1, 1, 0, 0)
-        with pytest.raises(WireFormatError, match="schedule version 0"):
-            FrameStreamDecoder().feed(forged)
+    def test_out_of_range_ids_rejected(self):
+        for field in ("schedule_version", "trace_id", "span_id"):
+            with pytest.raises(WireFormatError, match="out of range"):
+                encode_air_frame(
+                    AirFrame(channel=1, absolute_slot=1, **{field: 1 << 32})
+                )

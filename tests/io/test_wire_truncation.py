@@ -5,7 +5,9 @@ read, a clipped datagram. :func:`decode_bucket` must answer every such
 frame with :class:`WireFormatError` (carrying channel/offset
 provenance), never a bare ``struct.error``/``IndexError`` leaking out
 of the parser. These tests cut real encoded frames at *every* prefix
-length and hand-build bodies that overrun each individual header field.
+length and hand-build bodies that overrun each individual header field;
+each body is sealed with a valid checksum so the parser, not the CRC,
+must catch it.
 """
 
 from __future__ import annotations
@@ -16,15 +18,10 @@ import pytest
 
 from repro.broadcast.pointers import compile_program
 from repro.core.optimal import solve
-from repro.io.wire import (
-    DecodedBucket,
-    WireFormatError,
-    decode_bucket,
-    encode_program,
-)
-
-
+from repro.io.wire import WireFormatError, decode_bucket, encode_program
 from repro.tree.builders import paper_example_tree
+
+from .test_wire import checksummed
 
 
 @pytest.fixture(scope="module")
@@ -33,33 +30,17 @@ def program():
 
 
 @pytest.fixture(scope="module")
-def frames_v1(program):
+def frames(program):
     return [f for row in encode_program(program) for f in row]
 
 
-@pytest.fixture(scope="module")
-def frames_v0(program):
-    return [f for row in encode_program(program, version=0) for f in row]
-
-
 class TestEveryPrefix:
-    def test_every_v1_prefix_raises_wire_format_error(self, frames_v1):
-        """A v1 frame cut anywhere fails its CRC (or its header check)."""
-        for frame in frames_v1:
+    def test_every_v1_prefix_raises_wire_format_error(self, frames):
+        """A frame cut anywhere fails its CRC (or its header check)."""
+        for frame in frames:
             for cut in range(len(frame)):
                 with pytest.raises(WireFormatError):
                     decode_bucket(frame[:cut])
-
-    def test_every_v0_prefix_fails_cleanly(self, frames_v0):
-        """Unchecksummed frames may truncate into a *valid* shorter frame
-        (padding is zeros), but must never leak a non-WireFormatError."""
-        for frame in frames_v0:
-            for cut in range(len(frame)):
-                try:
-                    bucket = decode_bucket(frame[:cut])
-                except WireFormatError:
-                    continue
-                assert isinstance(bucket, DecodedBucket)
 
 
 class TestHeaderBoundaries:
@@ -80,51 +61,51 @@ class TestHeaderBoundaries:
             decode_bucket(bytes([0x7F, 1, 2, 3]))
 
     def test_fixed_header_cut(self):
-        # v0 body shorter than kind/next-offset/label-length.
+        # Body shorter than kind/next-offset/label-length.
         with pytest.raises(WireFormatError, match="fixed header"):
-            decode_bucket(bytes([0, 0, 0]))
+            decode_bucket(checksummed(bytes([0, 0, 0])))
 
     def test_label_overrun(self):
         body = struct.pack(">BHB", 2, 0, 10) + b"shor"
         with pytest.raises(WireFormatError, match="label overruns"):
-            decode_bucket(body)
+            decode_bucket(checksummed(body))
 
     def test_data_payload_header_overrun(self):
         body = struct.pack(">BHB", 2, 0, 1) + b"A" + b"\x00"  # 1 of 2 bytes
         with pytest.raises(WireFormatError, match="payload header"):
-            decode_bucket(body)
+            decode_bucket(checksummed(body))
 
     def test_data_payload_overrun(self):
         body = struct.pack(">BHB", 2, 0, 1) + b"A" + struct.pack(">H", 9) + b"xy"
         with pytest.raises(WireFormatError, match="payload overruns"):
-            decode_bucket(body)
+            decode_bucket(checksummed(body))
 
     def test_pointer_count_missing(self):
         body = struct.pack(">BHB", 1, 0, 1) + b"A"
         with pytest.raises(WireFormatError, match="pointer count"):
-            decode_bucket(body)
+            decode_bucket(checksummed(body))
 
     def test_pointer_record_overrun(self):
         body = struct.pack(">BHB", 1, 0, 1) + b"A" + bytes([1]) + b"\x02\x00"
         with pytest.raises(WireFormatError, match="pointer record"):
-            decode_bucket(body)
+            decode_bucket(checksummed(body))
 
     def test_routing_key_overrun(self):
         pointer = struct.pack(">BHB", 2, 5, 8) + b"AB"  # 2 of 8 key bytes
         body = struct.pack(">BHB", 1, 0, 1) + b"A" + bytes([1]) + pointer
         with pytest.raises(WireFormatError, match="routing key overruns"):
-            decode_bucket(body)
+            decode_bucket(checksummed(body))
 
-    def test_unknown_bucket_type_in_v0_range(self):
-        # Type byte 3 is neither a v0 type nor the v1 magic.
-        with pytest.raises(WireFormatError, match="unknown wire version"):
-            decode_bucket(bytes([3, 0, 0, 0]))
+    def test_unknown_bucket_type(self):
+        # Type byte 3 follows a valid checksum but names no bucket type.
+        with pytest.raises(WireFormatError, match="unknown bucket type 3"):
+            decode_bucket(checksummed(bytes([3, 0, 0, 0])))
 
 
 class TestProvenance:
-    def test_errors_carry_channel_and_offset(self, frames_v1):
+    def test_errors_carry_channel_and_offset(self, frames):
         with pytest.raises(WireFormatError, match=r"channel 2.*offset 7"):
-            decode_bucket(frames_v1[0][:10], channel=2, offset=7)
+            decode_bucket(frames[0][:10], channel=2, offset=7)
 
     def test_errors_without_provenance_stay_terse(self):
         with pytest.raises(WireFormatError) as excinfo:

@@ -4,6 +4,7 @@ from __future__ import annotations
 
 import asyncio
 import json
+import time
 
 import pytest
 
@@ -11,6 +12,7 @@ from repro.client.protocol import RecoveryPolicy, object_walk
 from repro.faults import FaultConfig
 from repro.io.wire import AirFrame, encode_air_frame
 from repro.net import BroadcastStation, TunerClient, build_demo_program
+from repro.net import tuner as tuner_module
 from repro.net.tuner import TunerProtocolError
 
 
@@ -142,6 +144,57 @@ class TestProtocolErrors:
                 tuner = TunerClient("127.0.0.1", port)
                 with pytest.raises(TunerProtocolError, match="WELCOME"):
                     await tuner.connect()
+                await tuner.aclose()
+            finally:
+                server.close()
+                await server.wait_closed()
+
+        run(scenario())
+
+    def test_silent_station_times_out_the_welcome(self, monkeypatch):
+        """A station that accepts and never greets must not hold the
+        tuner: connect gives up once the WELCOME deadline passes."""
+        monkeypatch.setattr(tuner_module, "WELCOME_TIMEOUT", 0.2)
+
+        async def silent(reader, writer):
+            try:
+                await reader.read()  # accept, never greet, wait for hang-up
+            finally:
+                writer.close()
+
+        async def scenario():
+            server = await asyncio.start_server(silent, "127.0.0.1", 0)
+            port = server.sockets[0].getsockname()[1]
+            try:
+                tuner = TunerClient("127.0.0.1", port)
+                started = time.perf_counter()
+                with pytest.raises(TunerProtocolError, match="within 0.2s"):
+                    await asyncio.wait_for(tuner.connect(), 10.0)
+                assert time.perf_counter() - started < 2.0
+                await tuner.aclose()
+            finally:
+                server.close()
+                await server.wait_closed()
+
+        run(scenario())
+
+    def test_outer_cancellation_is_not_swallowed(self):
+        """A caller's own deadline, shorter than the WELCOME one, still
+        cancels connect: the handler converts only its own timer."""
+
+        async def silent(reader, writer):
+            try:
+                await reader.read()
+            finally:
+                writer.close()
+
+        async def scenario():
+            server = await asyncio.start_server(silent, "127.0.0.1", 0)
+            port = server.sockets[0].getsockname()[1]
+            try:
+                tuner = TunerClient("127.0.0.1", port)
+                with pytest.raises(asyncio.TimeoutError):
+                    await asyncio.wait_for(tuner.connect(), 0.2)
                 await tuner.aclose()
             finally:
                 server.close()
